@@ -17,7 +17,9 @@ The package is organised bottom-up:
 * :mod:`repro.workloads` — synthetic SPEC2000/Olden-like workloads;
 * :mod:`repro.energy` — Wattch-style processor energy accounting;
 * :mod:`repro.sim` — the driver layer: :class:`~repro.sim.SimEngine`
-  (bounded caching, on-disk persistence, parallel sweeps),
+  (bounded caching, on-disk persistence, parallel sweeps; it runs the
+  batched fast-path kernel, and ``SimEngine(fast=False)`` runs the
+  bit-identical reference loop kept as the oracle),
   :class:`~repro.sim.SimulationConfig` and serialisable
   :class:`~repro.sim.RunResult` objects;
 * :mod:`repro.experiments` — one module per table/figure of the paper,
@@ -65,7 +67,6 @@ from .sim import (
     SimEngine,
     SimulationConfig,
     default_engine,
-    run_simulation,
 )
 
 __version__ = "2.0.0"
@@ -76,6 +77,5 @@ __all__ = [
     "SimEngine",
     "SimulationConfig",
     "default_engine",
-    "run_simulation",
     "__version__",
 ]

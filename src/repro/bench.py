@@ -3,9 +3,10 @@
 Measures the fast-path kernel and the sweep runtime against the
 reference cycle loop and writes a ``BENCH_*.json`` artifact (the
 committed ``BENCH_pr6.json`` at the repository root is this harness's
-output at the default size).  The ad-hoc ``benchmarks/perf_prN.py``
-scripts from earlier PRs are superseded: ``benchmarks/perf_pr4.py`` is a
-thin wrapper over this module.
+output at the default size).  It is the repository's one bench entry
+point.  Reference timings ask for the oracle explicitly
+(``SimEngine(fast=False)`` and :func:`~repro.sim.engine.execute_run`),
+since an engine runs the fast kernel by default.
 
 Three sections:
 
@@ -107,7 +108,7 @@ def _time_sweep(instructions: int, repeats: int, echo) -> dict:
 
     clear_trace_cache()
     start = time.perf_counter()
-    reference = SimEngine().sweep(base)
+    reference = SimEngine(fast=False).sweep(base)
     reference_s = time.perf_counter() - start
 
     fast_cold_s = float("inf")
@@ -116,12 +117,12 @@ def _time_sweep(instructions: int, repeats: int, echo) -> dict:
     for _ in range(max(1, repeats)):
         clear_trace_cache()  # cold: every trace compiled from its generator
         start = time.perf_counter()
-        fast_cold = SimEngine(fast=True).sweep(base)
+        fast_cold = SimEngine().sweep(base)
         fast_cold_s = min(fast_cold_s, time.perf_counter() - start)
 
         clear_trace_cache(disk=False)  # warm: traces load from the .npz cache
         start = time.perf_counter()
-        fast_warm = SimEngine(fast=True).sweep(base)
+        fast_warm = SimEngine().sweep(base)
         fast_warm_s = min(fast_warm_s, time.perf_counter() - start)
 
     identical = all(
@@ -264,13 +265,13 @@ def _time_service(instructions: int, clients: int, echo) -> dict:
     unique = _service_configs(instructions)
 
     clear_trace_cache(disk=False)
-    engine = SimEngine(fast=True)
+    engine = SimEngine()
     start = time.perf_counter()
     baseline_results = engine.run_many(unique)
     baseline_s = time.perf_counter() - start
     engine.close()
 
-    server = ServiceServer(engine=SimEngine(fast=True)).start()
+    server = ServiceServer(engine=SimEngine()).start()
     try:
         latencies: List[float] = []
         errors: List[str] = []
@@ -545,5 +546,5 @@ def run_from_args(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point (used by ``repro bench`` and ``benchmarks/perf_pr4.py``)."""
+    """Entry point (used by ``repro bench``)."""
     return run_from_args(build_parser().parse_args(argv))

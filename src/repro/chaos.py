@@ -228,7 +228,7 @@ def _fault_trial(seed: int, n_instructions: int, timeout_s: float) -> ChaosTrial
     journal_path = tmp / "jobs.wal"
     server = None
     try:
-        engine = SimEngine(workers=2, fast=True, store=tmp / "store")
+        engine = SimEngine(workers=2, store=tmp / "store")
         server = ServiceServer(engine=engine, journal=journal_path)
         server.start()
         client = ServiceClient(
@@ -392,7 +392,6 @@ def _spawn_server(tmp: Path, ready_file: Path) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
-            "--fast",
             "--workers", "2",
             "--store", str(tmp / "store"),
             "--journal", str(tmp / "jobs.wal"),

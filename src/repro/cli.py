@@ -5,20 +5,20 @@ Reproduce the paper from a shell::
     python -m repro run --benchmark gcc --dcache gated-predecode:threshold=150
     python -m repro run --benchmark gcc --dcache gated --l2-policy gated:threshold=500
     python -m repro sweep --dcache gated --workers 4 --benchmarks gcc,mesa,art
-    python -m repro sweep --dcache gated --l2-policy on-demand --fast
-    python -m repro run --benchmark mix:gcc+mcf@2000 --fast
+    python -m repro sweep --dcache gated --l2-policy on-demand
+    python -m repro run --benchmark mix:gcc+mcf@2000
     python -m repro experiment figure8 --json --benchmarks gcc,mesa
-    python -m repro experiment l2sweep --fast
+    python -m repro experiment l2sweep
     python -m repro experiment --list
     python -m repro policies
     python -m repro bench --smoke --output BENCH_smoke.json
     python -m repro trace record --benchmark gcc --out gcc.trace.gz
     python -m repro run --benchmark trace:gcc.trace.gz
     python -m repro run --benchmark "mix:(phases:gcc+mcf@5000)*2+vortex@800"
-    python -m repro run --benchmark fuzz:17 --fast
+    python -m repro run --benchmark fuzz:17
     python -m repro fuzz --budget 50 --seed-base 0 --report fuzz.json
     python -m repro regen-goldens
-    python -m repro serve --port 8023 --workers 4 --fast --store runs/ --journal jobs.wal
+    python -m repro serve --port 8023 --workers 4 --store runs/ --journal jobs.wal
     python -m repro submit --server http://127.0.0.1:8023 --benchmarks gcc,art --dcache gated
     python -m repro jobs --server http://127.0.0.1:8023
     python -m repro run --benchmark gcc --dcache gated --server http://127.0.0.1:8023
@@ -35,6 +35,11 @@ tooling can rebuild them with
 :meth:`~repro.sim.metrics.RunResult.from_dict`.  ``--store DIR`` points
 the engine at an on-disk result store so repeated invocations resume
 instead of re-simulating.
+
+Every command runs the batched fast-path kernel.  The bit-identical
+reference loop is the oracle: ``repro fuzz`` and ``repro regen-goldens
+--reference`` run it, and ``--fast`` is accepted as a no-op for old
+scripts.
 """
 
 from __future__ import annotations
@@ -87,7 +92,6 @@ def _make_engine(args: argparse.Namespace) -> SimEngine:
     return SimEngine(
         workers=getattr(args, "workers", 1),
         store=getattr(args, "store", None),
-        fast=getattr(args, "fast", False),
     )
 
 
@@ -117,14 +121,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="persist results in DIR and reuse them on later invocations",
     )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help=(
-            "execute on the batched fast-path kernel (several times faster, "
-            "bit-identical results)"
-        ),
-    )
+    # The fast kernel is the default; the flag stays a parsed no-op.
+    parser.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON on stdout"
     )
@@ -134,8 +132,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "execute against a running `repro serve` instance instead of "
-            "in-process (results are byte-identical); --workers/--store/"
-            "--fast are then the server's settings"
+            "in-process (results are byte-identical); --workers/--store "
+            "are then the server's settings"
         ),
     )
 
@@ -437,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", metavar="DIR", default=None,
                        help="on-disk result store; strongly recommended — it "
                             "backs /v1/results and journal resume")
-    serve.add_argument("--fast", action="store_true",
-                       help="execute on the fast-path kernel (bit-identical)")
+    serve.add_argument("--fast", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument("--journal", metavar="PATH", default=None,
                        help="write-ahead job journal; a restarted server "
                             "resumes unfinished jobs from it")
@@ -941,7 +938,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             faults.install(args.faults)
         except ValueError as error:
             raise ValueError(f"bad --faults spec: {error}") from None
-    engine = SimEngine(workers=args.workers, store=args.store, fast=args.fast)
+    engine = SimEngine(workers=args.workers, store=args.store)
     try:
         server = ServiceServer(
             engine=engine,

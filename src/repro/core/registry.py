@@ -35,12 +35,17 @@ from typing import Any, Callable, Dict, Mapping, Tuple, Union
 __all__ = [
     "PolicyInfo",
     "PolicySpec",
+    "UnknownPolicyError",
     "register_policy",
     "unregister_policy",
     "get_policy_info",
     "policy_names",
     "create_policy",
 ]
+
+
+class UnknownPolicyError(ValueError):
+    """A policy name that no registered policy or alias matches."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,7 @@ def get_policy_info(name: str) -> PolicyInfo:
     """Look up a policy by canonical name or alias.
 
     Raises:
-        ValueError: for an unknown policy name.
+        UnknownPolicyError: for an unknown policy name.
     """
     canonical = _normalise(name)
     canonical = _ALIASES.get(canonical, canonical)
@@ -163,7 +168,7 @@ def get_policy_info(name: str) -> PolicyInfo:
         return _REGISTRY[canonical]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise ValueError(f"unknown policy {name!r}; choose from: {known}") from None
+        raise UnknownPolicyError(f"unknown policy {name!r}; choose from: {known}") from None
 
 
 def policy_names() -> Tuple[str, ...]:

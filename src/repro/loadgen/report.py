@@ -122,8 +122,8 @@ def bench_loadgen_section(
     from repro.service.server import ServiceServer
 
     mix = parse_mix(BENCH_MIX, instructions=instructions)
-    local = SimEngine(fast=True)
-    server = ServiceServer(engine=SimEngine(fast=True)).start()
+    local = SimEngine()
+    server = ServiceServer(engine=SimEngine()).start()
     try:
         runner = LoadRunner(server.url)
 

@@ -486,7 +486,7 @@ def verify_identity(
     if not picked:
         return 0, None
     own_engine = engine is None
-    engine = engine if engine is not None else SimEngine(fast=True)
+    engine = engine if engine is not None else SimEngine()
     try:
         identical = True
         for key, config in picked.items():

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.core.registry import PolicySpec
-from repro.service.jobs import JobError, parse_job_payload
+from repro.service.jobs import parse_job_payload
 from repro.sim.config import SimulationConfig
 
 from .base import ArrivalProcess, Request, RequestEngine
@@ -96,7 +96,7 @@ class StaticMix:
         for entry in self.entries:
             try:
                 parse_job_payload(entry.payload())
-            except JobError as error:
+            except ValueError as error:
                 raise ValueError(f"mix entry {entry.tag()!r}: {error}") from None
 
     def draw(self, rng: random.Random) -> MixEntry:

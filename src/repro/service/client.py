@@ -452,15 +452,13 @@ class RemoteEngine:
         configs: Sequence[SimulationConfig],
         workers: Optional[int] = None,
         use_cache: bool = True,
-        fast: Optional[bool] = None,
         cancel=None,
     ) -> List[RunResult]:
         """Submit one batch job and block until it completes.
 
-        ``workers``/``fast`` are the *server's* choice (its engine was
-        configured at ``repro serve`` time); they are accepted and
-        ignored so experiment code written against ``SimEngine`` runs
-        unchanged.
+        ``workers`` is the *server's* choice (its engine was configured
+        at ``repro serve`` time); it is accepted and ignored so
+        experiment code written against ``SimEngine`` runs unchanged.
         """
         configs = list(configs)
         if not configs:
@@ -482,11 +480,10 @@ class RemoteEngine:
         base_config: SimulationConfig,
         benchmarks: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
-        fast: Optional[bool] = None,
     ) -> Dict[str, RunResult]:
         names = list(benchmarks) if benchmarks is not None else benchmark_names()
         configs = [replace(base_config, benchmark=name) for name in names]
-        return dict(zip(names, self.run_many(configs, workers=workers, fast=fast)))
+        return dict(zip(names, self.run_many(configs, workers=workers)))
 
     def select_thresholds(self, benchmark: str, base_config: SimulationConfig, **kwargs):
         from repro.sim.sweep import select_benchmark_thresholds

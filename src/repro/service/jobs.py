@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.circuits.technology import get_technology
+from repro.core.registry import UnknownPolicyError
 from repro.sim.config import SimulationConfig
 from repro.workloads.scenarios import validate_workload_name
 
@@ -121,6 +122,9 @@ def _parse_config(data: Any, where: str) -> SimulationConfig:
         return SimulationConfig.from_dict(data)
     except (KeyError, TypeError, AttributeError) as error:
         raise MalformedJob(f"{where} is not a valid configuration: {error}") from None
+    except UnknownPolicyError as error:
+        # A well-formed spec naming no registered policy is semantic.
+        raise InvalidJob(str(error)) from None
     except ValueError as error:
         # PolicySpec.from_dict raises ValueError for malformed spec
         # payloads; that is structural, not semantic.

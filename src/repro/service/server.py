@@ -124,7 +124,7 @@ class ServiceServer:
         retention_jobs: int = 1024,
         retention_results: int = 4096,
     ) -> None:
-        self.engine = engine if engine is not None else SimEngine(fast=True)
+        self.engine = engine if engine is not None else SimEngine()
         self.telemetry = Telemetry()
         self.board = JobBoard(
             store=self.engine.store,

@@ -12,17 +12,18 @@ The driver layer is organised around four pieces:
 * :mod:`~repro.sim.sweep` — benchmark sweeps and the Section 6.4
   profiling-based threshold selection.
 
-:func:`run_simulation` remains as a shim over the process-wide default
-engine for quick interactive use.
+The engine runs the batched fast-path kernel
+(:func:`~repro.sim.fastpath.execute_run_fast`) by default; the
+reference cycle loop (:func:`~repro.sim.engine.execute_run`) is the
+bit-identity oracle, reached through ``SimEngine(fast=False)``.
 """
 
 from repro.core.registry import PolicySpec
 
-from .config import DEFAULT_INSTRUCTIONS, POLICY_NAMES, SimulationConfig, make_policy
+from .config import DEFAULT_INSTRUCTIONS, SimulationConfig
 from .engine import RunCancelled, SimEngine, default_engine, execute_run, execute_run_fast
 from .fastpath import CompiledTrace, clear_trace_cache, compile_workload
 from .metrics import RunResult, arithmetic_mean, geometric_mean, slowdown
-from .runner import clear_run_cache, run_simulation
 from .store import ResultStore
 from .sweep import (
     BenchmarkThresholds,
@@ -33,10 +34,8 @@ from .sweep import (
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
-    "POLICY_NAMES",
     "PolicySpec",
     "SimulationConfig",
-    "make_policy",
     "RunCancelled",
     "SimEngine",
     "default_engine",
@@ -49,8 +48,6 @@ __all__ = [
     "arithmetic_mean",
     "geometric_mean",
     "slowdown",
-    "clear_run_cache",
-    "run_simulation",
     "ResultStore",
     "BenchmarkThresholds",
     "DCACHE_REPLAY_FACTOR",

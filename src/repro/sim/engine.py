@@ -18,9 +18,10 @@ an object:
   runs are independent and seeded, so parallel results are bit-identical
   to serial ones.
 
-The module-level :func:`repro.sim.runner.run_simulation` is a thin shim
-over :func:`default_engine`, so existing call sites keep the memoisation
-behaviour they had.
+Runs execute on the batched fast-path kernel
+(:func:`repro.sim.fastpath.execute_run_fast`).  The per-op reference
+loop, :func:`execute_run`, is the oracle it is pinned bit-identical to;
+``SimEngine(fast=False)`` is the one way to reach it through an engine.
 """
 
 from __future__ import annotations
@@ -250,10 +251,11 @@ class SimEngine:
         store: Optional on-disk result store (or a directory path for
             one), consulted before computing and updated after.
         fast: Execute runs on the batched fast-path kernel
-            (:func:`repro.sim.fastpath.execute_run_fast`) instead of the
-            reference cycle loop.  Results are bit-identical (the
-            differential suite enforces this), so fast and reference
-            runs share cache entries and store records.
+            (:func:`repro.sim.fastpath.execute_run_fast`, the default);
+            ``False`` runs the reference cycle loop, the oracle.  Results
+            are bit-identical (the differential suite enforces this), so
+            fast and reference runs share cache entries and store
+            records.
         chunk_retries: How many times a failed parallel chunk is
             resubmitted to a (rebuilt, if broken) pool before it
             degrades to serial in-process execution.  ``0`` keeps the
@@ -265,7 +267,7 @@ class SimEngine:
         max_cached_runs: int = 1024,
         workers: int = 1,
         store: Optional[Union[ResultStore, str, Path]] = None,
-        fast: bool = False,
+        fast: bool = True,
         chunk_retries: int = 2,
     ) -> None:
         if max_cached_runs < 1:
@@ -428,17 +430,15 @@ class SimEngine:
         self,
         config: SimulationConfig,
         use_cache: bool = True,
-        fast: Optional[bool] = None,
     ) -> RunResult:
         """Simulate one configuration, reusing cached results when allowed."""
-        return self.run_many([config], workers=1, use_cache=use_cache, fast=fast)[0]
+        return self.run_many([config], workers=1, use_cache=use_cache)[0]
 
     def run_many(
         self,
         configs: Sequence[SimulationConfig],
         workers: Optional[int] = None,
         use_cache: bool = True,
-        fast: Optional[bool] = None,
         cancel: Optional[threading.Event] = None,
     ) -> List[RunResult]:
         """Simulate many configurations, in parallel when ``workers > 1``.
@@ -446,8 +446,7 @@ class SimEngine:
         Results come back in input order and are identical to running
         each configuration serially (runs are independent and fully
         seeded).  Configurations already in the cache or store are not
-        re-simulated, and duplicates are simulated once.  ``fast``
-        overrides the engine's default execution path for this call.
+        re-simulated, and duplicates are simulated once.
 
         ``cancel`` is the service layer's cancellation hook: when the
         event is set mid-batch the call raises :class:`RunCancelled` at
@@ -460,7 +459,7 @@ class SimEngine:
         workers = self.workers if workers is None else workers
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        runner = execute_run_fast if (self.fast if fast is None else fast) else execute_run
+        runner = execute_run_fast if self.fast else execute_run
         configs = list(configs)
         results: List[Optional[RunResult]] = [None] * len(configs)
 
@@ -506,7 +505,6 @@ class SimEngine:
                 self._run_parallel(
                     [config for _, config in todo],
                     workers,
-                    fast=runner is execute_run_fast,
                     record=record,
                     cancel=cancel,
                 )
@@ -537,7 +535,6 @@ class SimEngine:
         self,
         configs: List[SimulationConfig],
         workers: int,
-        fast: bool,
         record,
         cancel: Optional[threading.Event] = None,
     ) -> None:
@@ -604,7 +601,7 @@ class SimEngine:
         while queue:
             executor = self._executor(workers)
             futures = [
-                (indices, chunk, attempt, executor.submit(_execute_chunk, (fast, chunk)))
+                (indices, chunk, attempt, executor.submit(_execute_chunk, (self.fast, chunk)))
                 for indices, chunk, attempt in queue
             ]
             queue = []
@@ -690,7 +687,7 @@ class SimEngine:
         # bypasses the worker-side failpoint, mirroring production —
         # whatever kills workers (OOM, a bad cgroup) does not apply to
         # the parent — so a chaos plan with p=1 still makes progress.
-        runner = execute_run_fast if fast else execute_run
+        runner = execute_run_fast if self.fast else execute_run
         for indices, chunk in serial:
             for index, config in zip(indices, chunk):
                 if index in recorded:
@@ -750,7 +747,6 @@ class SimEngine:
         base_config: SimulationConfig,
         benchmarks: Optional[Sequence[str]] = None,
         workers: Optional[int] = None,
-        fast: Optional[bool] = None,
     ) -> Dict[str, RunResult]:
         """Run ``base_config`` for every benchmark in ``benchmarks``.
 
@@ -760,14 +756,13 @@ class SimEngine:
                 other field — including ones added later — carries over).
             benchmarks: Benchmark names; defaults to all sixteen.
             workers: Process count; defaults to the engine's.
-            fast: Execution-path override for this call.
 
         Returns:
             Mapping from benchmark name to its :class:`RunResult`.
         """
         names = list(benchmarks) if benchmarks is not None else benchmark_names()
         configs = [replace(base_config, benchmark=name) for name in names]
-        results = self.run_many(configs, workers=workers, fast=fast)
+        results = self.run_many(configs, workers=workers)
         return dict(zip(names, results))
 
     def select_thresholds(self, benchmark: str, base_config: SimulationConfig, **kwargs):
@@ -786,7 +781,7 @@ _DEFAULT_ENGINE_LOCK = threading.Lock()
 
 
 def default_engine() -> SimEngine:
-    """The process-wide engine behind the module-level convenience API."""
+    """The process-wide engine the experiment modules share by default."""
     global _DEFAULT_ENGINE
     with _DEFAULT_ENGINE_LOCK:
         if _DEFAULT_ENGINE is None:

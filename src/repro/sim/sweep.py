@@ -62,7 +62,6 @@ def sweep_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     engine: Optional[SimEngine] = None,
     workers: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> Dict[str, RunResult]:
     """Run ``base_config`` for every benchmark in ``benchmarks``.
 
@@ -72,14 +71,12 @@ def sweep_benchmarks(
         benchmarks: Benchmark names; defaults to all sixteen.
         engine: Engine to run on; defaults to the process-wide engine.
         workers: Worker processes; defaults to the engine's setting.
-        fast: Execution-path override (batched fast kernel vs reference
-            loop); defaults to the engine's setting.
 
     Returns:
         Mapping from benchmark name to its :class:`RunResult`.
     """
     engine = default_engine() if engine is None else engine
-    return engine.sweep(base_config, benchmarks=benchmarks, workers=workers, fast=fast)
+    return engine.sweep(base_config, benchmarks=benchmarks, workers=workers)
 
 
 def select_benchmark_thresholds(

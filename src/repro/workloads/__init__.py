@@ -33,8 +33,6 @@ from .grammar import (
 )
 from .olden import make_olden_workload, olden_names
 from .scenarios import (
-    MultiprogrammedWorkload,
-    PhaseShiftingWorkload,
     ScenarioWorkload,
     resolve_workload,
     validate_workload_name,
@@ -89,8 +87,6 @@ __all__ = [
     "MAX_FUZZ_DEPTH",
     "generate_scenario",
     "parse_fuzz_name",
-    "MultiprogrammedWorkload",
-    "PhaseShiftingWorkload",
     "resolve_workload",
     "validate_workload_name",
     "workload_identity",

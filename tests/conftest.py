@@ -9,7 +9,7 @@ import pytest
 from repro.cache.energy_accounting import EnergyLedger
 from repro.circuits.cacti import CacheOrganization, cache_organization
 from repro.circuits.technology import get_technology
-from repro.sim import SimulationConfig, run_simulation
+from repro.sim import PolicySpec, SimulationConfig, default_engine
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -65,12 +65,12 @@ def small_baseline_run():
     """A short static-pull-up run of gcc shared by integration-style tests."""
     config = SimulationConfig(
         benchmark="gcc",
-        dcache_policy="static",
-        icache_policy="static",
+        dcache=PolicySpec("static"),
+        icache=PolicySpec("static"),
         feature_size_nm=70,
         n_instructions=6_000,
     )
-    return run_simulation(config)
+    return default_engine().run(config)
 
 
 @pytest.fixture(scope="session")
@@ -78,9 +78,9 @@ def small_gated_run():
     """A short gated-precharging run of gcc shared by integration-style tests."""
     config = SimulationConfig(
         benchmark="gcc",
-        dcache_policy="gated-predecode",
-        icache_policy="gated",
+        dcache=PolicySpec("gated-predecode"),
+        icache=PolicySpec("gated"),
         feature_size_nm=70,
         n_instructions=6_000,
     )
-    return run_simulation(config)
+    return default_engine().run(config)

@@ -151,12 +151,18 @@ class TestThirdPartyRegistration:
         assert other.cache_key() != config.cache_key()
 
     def test_legacy_string_fields_also_reach_external_policy(self, external_policy):
-        config = SimulationConfig(dcache_policy=external_policy, n_instructions=1_000)
+        config = SimulationConfig(dcache=external_policy, n_instructions=1_000)
         assert isinstance(config.dcache_controller(), ExternalHoldPolicy)
 
     def test_unregistered_name_fails_at_config_time(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(dcache_policy="never-registered")
+        # Every spelling of a policy is validated when the config is built.
+        for spelling in (
+            {"dcache": "never-registered"},
+            {"icache": PolicySpec("never-registered")},
+            {"l2": {"name": "never-registered", "params": {}}},
+        ):
+            with pytest.raises(ValueError, match="never-registered"):
+                SimulationConfig(**spelling)
 
     def test_shadowing_registration_does_not_inherit_aliases(self):
         register_policy("shadow-target", aliases=("shadow-alias",))(ExternalHoldPolicy)
@@ -201,9 +207,9 @@ class TestThirdPartyRegistration:
         with pytest.raises(ValueError):
             get_policy_info("tmp-alias")
 
-    def test_legacy_threshold_dropped_with_warning(self):
-        with pytest.warns(FutureWarning, match="takes no threshold"):
-            config = SimulationConfig(dcache_policy="static", dcache_threshold=150)
-        # The spec carries no threshold; the accessor reports the default.
-        assert config.dcache.get("threshold") is None
-        assert config.dcache_threshold == 100
+    def test_legacy_policy_keywords_rejected(self):
+        # One spelling: the pre-registry string/threshold keywords are gone.
+        for level in ("dcache", "icache", "l2"):
+            for legacy, value in ((f"{level}_policy", "gated"), (f"{level}_threshold", 150)):
+                with pytest.raises(TypeError, match=legacy):
+                    SimulationConfig(**{legacy: value})

@@ -8,7 +8,7 @@ the full benchmark harness.
 
 import pytest
 
-from repro.sim import SimulationConfig, run_simulation, slowdown
+from repro.sim import SimulationConfig, default_engine, slowdown
 
 N_INSTRUCTIONS = 6_000
 BENCH = "gcc"
@@ -17,13 +17,13 @@ BENCH = "gcc"
 def run(dcache, icache, **kwargs):
     config = SimulationConfig(
         benchmark=kwargs.pop("benchmark", BENCH),
-        dcache_policy=dcache,
-        icache_policy=icache,
+        dcache=dcache,
+        icache=icache,
         feature_size_nm=kwargs.pop("feature_size_nm", 70),
         n_instructions=kwargs.pop("n_instructions", N_INSTRUCTIONS),
         **kwargs,
     )
-    return run_simulation(config)
+    return default_engine().run(config)
 
 
 class TestClaimOraclePotential:

@@ -266,9 +266,9 @@ class TestRetryBudget:
 class TestRemoteEngineSurface:
     def test_remote_engine_accepts_engine_kwargs(self, scripted):
         # run_many must tolerate the SimEngine keyword surface even
-        # though the server decides workers/fast.
+        # though the server decides workers.
         _, url = scripted
         engine = RemoteEngine(ServiceClient(url))
-        assert engine.run_many([], workers=4, fast=True, use_cache=False) == []
+        assert engine.run_many([], workers=4, use_cache=False) == []
         assert engine.cached_results() == []
         engine.close()

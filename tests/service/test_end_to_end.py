@@ -57,7 +57,6 @@ class _Server:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0",
-                "--fast",
                 "--store", str(self.tmp_path / "store"),
                 "--journal", str(self.tmp_path / "jobs.wal"),
             ],
@@ -113,7 +112,6 @@ def local_sweep(tmp_path_factory):
         "sweep",
         "--benchmarks", ",".join(BENCHMARKS),
         "--dcache", "gated",
-        "--fast",
         "--instructions", INSTRUCTIONS,
         "--json",
     )
@@ -206,7 +204,6 @@ class TestLiveServer:
                 "sweep",
                 "--benchmarks", ",".join(BENCHMARKS),
                 "--dcache", "gated",
-                "--fast",
                 "--instructions", "120000",
                 "--json",
                 timeout=300,

@@ -27,7 +27,7 @@ class TestRemoteExecution:
     def test_run_remote_matches_local(self, capsys, server):
         args = ["run", "--benchmark", "gcc", "--dcache", "gated",
                 "--instructions", "600", "--json"]
-        status, local = run_cli(capsys, *args, "--fast")
+        status, local = run_cli(capsys, *args)
         assert status == 0
         status, remote = run_cli(capsys, *args, "--server", server.url)
         assert status == 0
@@ -36,7 +36,7 @@ class TestRemoteExecution:
     def test_sweep_remote_matches_local(self, capsys, server):
         args = ["sweep", "--benchmarks", "gcc,art", "--dcache", "gated",
                 "--instructions", "600", "--json"]
-        status, local = run_cli(capsys, *args, "--fast")
+        status, local = run_cli(capsys, *args)
         assert status == 0
         status, remote = run_cli(capsys, *args, "--server", server.url)
         assert status == 0
@@ -46,7 +46,7 @@ class TestRemoteExecution:
     def test_experiment_remote_matches_local(self, capsys, server):
         args = ["experiment", "figure8", "--benchmarks", "gcc",
                 "--instructions", "500", "--json"]
-        status, local = run_cli(capsys, *args, "--fast")
+        status, local = run_cli(capsys, *args)
         assert status == 0
         status, remote = run_cli(capsys, *args, "--server", server.url)
         assert status == 0

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.sim import RunResult
+from repro.cli import build_parser, main
+from repro.sim import RunResult, SimulationConfig
+from repro.sim import engine as sim_engine
 
 
 def run_cli(capsys, *argv):
@@ -170,8 +171,7 @@ class TestRunCommand:
         assert result.benchmark.startswith("mix:(")
         status, out = run_cli(
             capsys,
-            "run", "--benchmark", "fuzz:4", "--instructions", "1200",
-            "--json", "--fast",
+            "run", "--benchmark", "fuzz:4", "--instructions", "1200", "--json",
         )
         assert status == 0
         assert RunResult.from_dict(json.loads(out)).benchmark == "fuzz:4"
@@ -207,17 +207,33 @@ class TestRunCommand:
         assert "ignores --l2-policy" in captured.err
 
     def test_fast_and_reference_cli_json_are_identical(self, capsys):
-        status, reference = run_cli(
+        # The CLI runs the fast kernel; its bytes must equal the oracle's.
+        status, out = run_cli(
             capsys, "run", "--benchmark", "gcc", "--dcache", "gated",
             "--instructions", "1500", "--json",
         )
         assert status == 0
-        status, fast = run_cli(
-            capsys, "run", "--benchmark", "gcc", "--dcache", "gated",
-            "--instructions", "1500", "--json", "--fast",
-        )
-        assert status == 0
-        assert fast == reference
+        config = SimulationConfig(benchmark="gcc", dcache="gated", n_instructions=1500)
+        assert out == json.dumps(sim_engine.execute_run(config).to_dict()) + "\n"
+
+    def test_flagless_commands_run_the_fast_kernel(self, capsys, monkeypatch):
+        def no_oracle(config):
+            raise AssertionError("the reference loop ran without fast=False")
+
+        monkeypatch.setattr(sim_engine, "execute_run", no_oracle)
+        size = ("--instructions", "800")
+        assert main(["run", *size]) == 0
+        assert main(["sweep", "--benchmarks", "gcc,art", "--workers", "2", *size]) == 0
+        assert main(["experiment", "figure8", "--benchmarks", "gcc", *size]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_fast_flag_is_a_hidden_no_op(self, capsys):
+        parser = build_parser()
+        for argv in (["run"], ["sweep"], ["experiment", "figure8"], ["serve"]):
+            assert parser.parse_args([*argv, "--fast"]).fast is True
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--help"])
+        assert "--fast" not in capsys.readouterr().out
 
 
 class TestSweepCommand:

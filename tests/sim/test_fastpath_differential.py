@@ -279,14 +279,15 @@ def test_compiled_trace_matches_generator_stream() -> None:
         assert compiled.micro_op(index) == uop
 
 
-def test_engine_fast_flag_shares_cache_with_reference() -> None:
-    engine = SimEngine()
+def test_engine_fast_flag_shares_cache_with_reference(tmp_path) -> None:
     config = SimulationConfig(benchmark="gcc", n_instructions=1200)
-    reference = engine.run(config, fast=False)
-    assert engine.stats["computed"] == 1
-    fast = engine.run(config, fast=True)
-    # Identical results mean identical cache keys: no recompute.
-    assert engine.stats["computed"] == 1
+    oracle = SimEngine(fast=False, store=tmp_path)
+    reference = oracle.run(config)
+    assert oracle.stats["computed"] == 1
+    engine = SimEngine(store=tmp_path)
+    fast = engine.run(config)
+    # Identical results mean identical store keys: no recompute.
+    assert engine.stats["computed"] == 0
     assert fast.to_dict() == reference.to_dict()
 
 
@@ -295,8 +296,8 @@ def test_fast_engine_sweep_matches_reference_sweep() -> None:
         benchmark="gcc", dcache="gated", icache="gated", n_instructions=1200
     )
     names = ["gcc", "ammp", "treeadd"]
-    reference = SimEngine().sweep(base, benchmarks=names)
-    fast = SimEngine(fast=True).sweep(base, benchmarks=names)
+    reference = SimEngine(fast=False).sweep(base, benchmarks=names)
+    fast = SimEngine().sweep(base, benchmarks=names)
     for name in names:
         assert fast[name].to_dict() == reference[name].to_dict()
 

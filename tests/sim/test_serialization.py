@@ -1,6 +1,9 @@
 """JSON round-trip tests for configs, stats, energy reports and results."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.core.registry import PolicySpec
 from repro.cpu.pipeline import PipelineConfig
@@ -129,16 +132,67 @@ class TestL2BackwardCompatibility:
         assert rebuilt.energy.l2_relative_discharge == 1.0
 
     def test_l2_fields_round_trip_exactly(self):
-        from repro.sim import run_simulation
+        from repro.sim import default_engine
 
         config = SimulationConfig(
             benchmark="gcc",
             l2=PolicySpec("gated", {"threshold": 500}),
             n_instructions=3_000,
         )
-        result = run_simulation(config)
+        result = default_engine().run(config)
         rebuilt = RunResult.from_json(result.to_json())
         assert rebuilt == result
         assert rebuilt.l2_policy == "gated"
         assert rebuilt.energy.l2 is not None
         assert rebuilt.l2_accesses > 0
+
+
+#: A result-store entry as written before the L2 carried a policy and
+#: before entries carried a SHA-256: no ``"l2"`` config key, no ``l2_*``
+#: result fields.  Its file name in a store is :data:`_PRE_L2_KEY`.
+_PRE_L2_ENTRY = Path(__file__).parent / "data" / "pre_l2_store_entry.json"
+_PRE_L2_KEY = "aaa4487fcb741002ded0daa20a4537f6"
+
+
+class TestStoreDigestPin:
+    """Result-store digests are literal: refactors must not move them."""
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (SimulationConfig(), "f20c5fba27c352e0186dc467a7dbb08f"),
+            (
+                SimulationConfig(
+                    dcache=PolicySpec("gated", {"threshold": 100}),
+                    icache=PolicySpec("gated", {"threshold": 100}),
+                ),
+                "2034d357804dd04a75eeb5d155f4e590",
+            ),
+            (
+                SimulationConfig(l2=PolicySpec("gated", {"threshold": 500})),
+                "2eb71b640191534f3e6e5465d53cc902",
+            ),
+            (SimulationConfig(benchmark="mix:gcc+mcf@500"), "c9d45bd2bd0eaca862cb97056e5da5ad"),
+            (SimulationConfig(benchmark="phases:gcc+art"), "96d4c6c9792ad76574ef45a673fbb11a"),
+        ],
+        ids=["default", "gated-l1-explicit-threshold", "gated-l2", "flat-mix", "phases"],
+    )
+    def test_store_digests_do_not_move(self, config, digest):
+        from repro.sim.store import ResultStore
+
+        assert ResultStore.key_for(config) == digest
+
+    def test_pre_l2_store_entry_resumes_without_recompute(self, tmp_path):
+        from repro.sim import SimEngine
+
+        text = _PRE_L2_ENTRY.read_text()
+        payload = json.loads(text)
+        assert "l2" not in payload["config"] and "sha256" not in payload
+        (tmp_path / f"{_PRE_L2_KEY}.json").write_text(text)
+
+        engine = SimEngine(store=tmp_path)
+        result = engine.run(SimulationConfig.from_dict(payload["config"]))
+        assert engine.stats["computed"] == 0
+        assert engine.stats["store_hits"] == 1
+        assert result == RunResult.from_dict(payload["result"])
+        assert result.l2_policy == "static"

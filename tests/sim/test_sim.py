@@ -1,4 +1,4 @@
-"""Tests for the simulation configuration, runner, metrics and sweeps."""
+"""Tests for the simulation configuration, engine, metrics and sweeps."""
 
 import pytest
 
@@ -9,13 +9,13 @@ from repro.core import (
     ResizableCachePolicy,
     StaticPullUpPolicy,
 )
+from repro.core.registry import policy_names
 from repro.sim import (
-    POLICY_NAMES,
+    PolicySpec,
     SimulationConfig,
     arithmetic_mean,
+    default_engine,
     geometric_mean,
-    make_policy,
-    run_simulation,
     select_benchmark_thresholds,
     slowdown,
     sweep_benchmarks,
@@ -35,22 +35,22 @@ class TestPolicyFactory:
         ],
     )
     def test_every_published_policy_is_constructible(self, name, cls):
-        assert isinstance(make_policy(name), cls)
+        assert isinstance(PolicySpec(name).build(), cls)
 
     def test_gated_predecode_enables_predecoding(self):
-        assert make_policy("gated-predecode").use_predecode
-        assert not make_policy("gated").use_predecode
+        assert PolicySpec("gated-predecode").build().use_predecode
+        assert not PolicySpec("gated").build().use_predecode
 
     def test_threshold_passed_through(self):
-        assert make_policy("gated", threshold=250).threshold == 250
+        assert PolicySpec("gated", {"threshold": 250}).build().threshold == 250
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("drowsy")
+            PolicySpec("drowsy").build()
 
     def test_all_policy_names_listed(self):
-        for name in POLICY_NAMES:
-            make_policy(name)
+        for name in policy_names():
+            PolicySpec(name).build()
 
 
 class TestSimulationConfig:
@@ -63,17 +63,23 @@ class TestSimulationConfig:
         assert hierarchy.l1i_latency == 2 and hierarchy.l1d_latency == 3
 
     def test_on_demand_folds_known_latency_into_speculation(self):
-        ondemand = SimulationConfig(dcache_policy="on-demand")
-        static = SimulationConfig(dcache_policy="static")
+        ondemand = SimulationConfig(dcache="on-demand")
+        static = SimulationConfig(dcache="static")
         assert ondemand.pipeline_config().speculative_extra_latency == 1
         assert static.pipeline_config().speculative_extra_latency == 0
 
     def test_with_policies_returns_modified_copy(self):
         base = SimulationConfig(benchmark="gcc")
         other = base.with_policies("oracle", "oracle")
-        assert other.dcache_policy == "oracle"
-        assert base.dcache_policy == "static"
+        assert other.dcache == PolicySpec("oracle")
+        assert base.dcache == PolicySpec("static")
         assert other.benchmark == "gcc"
+
+    def test_with_policies_takes_bare_names_at_their_defaults(self):
+        base = SimulationConfig(dcache=PolicySpec("gated", {"threshold": 150}))
+        other = base.with_policies("gated-predecode", "static")
+        assert other.dcache == PolicySpec("gated-predecode")
+        assert other.l2 == base.l2
 
 
 class TestRunner:
@@ -88,10 +94,10 @@ class TestRunner:
 
     def test_run_cache_returns_same_object(self, small_baseline_run):
         config = SimulationConfig(
-            benchmark="gcc", dcache_policy="static", icache_policy="static",
+            benchmark="gcc", dcache="static", icache="static",
             feature_size_nm=70, n_instructions=6_000,
         )
-        assert run_simulation(config) is small_baseline_run
+        assert default_engine().run(config) is small_baseline_run
 
     def test_gated_run_saves_discharge_with_small_slowdown(
         self, small_baseline_run, small_gated_run
@@ -107,7 +113,7 @@ class TestRunner:
 
 class TestMetrics:
     def test_slowdown_requires_same_benchmark(self, small_baseline_run):
-        other = run_simulation(
+        other = default_engine().run(
             SimulationConfig(benchmark="mesa", n_instructions=3_000)
         )
         with pytest.raises(ValueError):

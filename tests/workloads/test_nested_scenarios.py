@@ -3,20 +3,19 @@
 The flat ``mix:``/``phases:`` behaviours are pinned by
 ``test_scenarios.py``; these tests pin what nesting adds — seed
 decorrelation by DFS leaf index, program-wise address slabs and register
-slices, pressure-shaping modifiers — and that flat expressions evaluated
-through the general :class:`ScenarioWorkload` machinery are bit-identical
-to their dedicated classes.
+slices, pressure-shaping modifiers — and that flat expressions keep the
+exact streams they had when they were evaluated by dedicated classes.
 """
 
 from __future__ import annotations
 
+import hashlib
 from itertools import islice
 
 import pytest
 
 from repro.workloads.grammar import parse_scenario
 from repro.workloads.scenarios import (
-    MultiprogrammedWorkload,
     ScenarioWorkload,
     resolve_workload,
     workload_identity,
@@ -121,22 +120,39 @@ class TestModifiers:
         assert _prefix(a) == _prefix(b)
 
 
+def _stream_digest(workload, count=1000):
+    digest = hashlib.sha256()
+    for uop in _prefix(workload, count):
+        digest.update(repr((
+            uop.op_type, uop.pc, uop.dest, uop.src1, uop.src2, uop.address,
+            uop.base_address, uop.taken, uop.target,
+        )).encode())
+    return digest.hexdigest()
+
+
 class TestFlatEquivalence:
-    def test_flat_mix_resolves_to_compat_class(self):
+    def test_flat_mix_is_a_scenario_workload(self):
         workload = resolve_workload("mix:gcc+mcf")
-        assert isinstance(workload, MultiprogrammedWorkload)
-        assert workload.names == ("gcc", "mcf")
+        assert type(workload) is ScenarioWorkload
+        assert workload.name == "mix:gcc+mcf@2000"
 
     def test_general_evaluation_matches_compat_class(self):
-        root = parse_scenario("mix:gcc+mcf@400")
-        general = ScenarioWorkload(root, seed=2)
-        compat = MultiprogrammedWorkload(["gcc", "mcf"], quantum=400, seed=2)
-        assert _prefix(general, 1000) == _prefix(compat, 1000)
+        # Digests of the streams the dedicated flat mix/phases workload
+        # classes produced, before ScenarioWorkload replaced them.
+        for name, seed, digest in (
+            ("mix:gcc+mcf@400", 2,
+             "ca103f105192035b297975f19b98056f8a4db273dcdf8f7adc538cc992ac3bf8"),
+            ("phases:gcc+art@200", 3,
+             "44e28b66f7ac0a79ca2121e722090e0d1891463df7313e241141f9e0cf63fbec"),
+        ):
+            general = ScenarioWorkload(parse_scenario(name), seed=seed)
+            assert _stream_digest(general) == digest
+            assert _stream_digest(resolve_workload(name, seed=seed)) == digest
 
     def test_nested_workload_class(self):
         workload = resolve_workload("mix:(phases:gcc+mcf@500)+vortex")
-        assert isinstance(workload, ScenarioWorkload)
-        assert not isinstance(workload, MultiprogrammedWorkload)
+        assert type(workload) is ScenarioWorkload
+        assert workload.name == "mix:(phases:gcc+mcf@500)+vortex@2000"
 
 
 class TestIdentity:
