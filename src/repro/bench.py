@@ -283,7 +283,7 @@ def _time_service(instructions: int, clients: int, echo) -> dict:
                 for config in unique:
                     begin = time.perf_counter()
                     receipt = client.submit_run(config)
-                    client.wait(receipt["id"], poll_s=0.01)
+                    client.wait(receipt["id"])
                     elapsed = time.perf_counter() - begin
                     with lock:
                         latencies.append(elapsed)

@@ -256,7 +256,6 @@ def _fault_trial(seed: int, n_instructions: int, timeout_s: float) -> ChaosTrial
                     jobs.append(
                         client.wait(
                             receipt["id"],
-                            poll_s=0.05,
                             timeout=timeout_s,
                             raise_on_failure=False,
                         )
@@ -478,7 +477,7 @@ def _kill9_trial(seed: int, n_instructions: int, timeout_s: float) -> ChaosTrial
         if resumed:
             try:
                 job = client.wait(
-                    job_id, poll_s=0.05, timeout=timeout_s, raise_on_failure=False
+                    job_id, timeout=timeout_s, raise_on_failure=False
                 )
                 trial.statuses[job_id] = job["status"]
                 if job["status"] != "done":

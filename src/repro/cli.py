@@ -938,7 +938,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             faults.install(args.faults)
         except ValueError as error:
             raise ValueError(f"bad --faults spec: {error}") from None
-    engine = SimEngine(workers=args.workers, store=args.store)
+    # No engine LRU: the board's result LRU and the store answer every
+    # repeat first, so it would only hold a second copy of each result.
+    engine = SimEngine(max_cached_runs=0, workers=args.workers, store=args.store)
     try:
         server = ServiceServer(
             engine=engine,

@@ -61,6 +61,13 @@ __all__ = [
 #: dispatcher blocks (and the blockage is visible as lateness).
 MAX_IN_FLIGHT = 256
 
+#: Requests per second per closed-loop client that the materialised
+#: stream window covers; a faster (cache-hot) loop cycles the window.
+CLOSED_LOOP_RATE = 50
+
+#: A closed-loop client's pause after admission pushback (429).
+REJECT_BACKOFF_S = 0.05
+
 #: Counters whose across-run delta the report embeds.
 _DELTA_COUNTERS = (
     "jobs_submitted",
@@ -179,13 +186,11 @@ class LoadRunner:
     def __init__(
         self,
         url: str,
-        poll_s: float = 0.02,
         max_in_flight: int = MAX_IN_FLIGHT,
         request_timeout_s: float = 30.0,
         client_factory: Optional[Callable[[], ServiceClient]] = None,
     ) -> None:
         self.url = url
-        self.poll_s = poll_s
         self.max_in_flight = max_in_flight
         self.request_timeout_s = request_timeout_s
         # Retry-free on purpose: admission pushback must be *counted*,
@@ -219,9 +224,7 @@ class LoadRunner:
                 payload=request.payload,
             )
         try:
-            client.wait(
-                receipt["id"], poll_s=self.poll_s, timeout=self.request_timeout_s
-            )
+            client.wait(receipt["id"], timeout=self.request_timeout_s)
         except (JobFailed, ServiceError, TimeoutError) as error:
             return RequestOutcome(
                 tag=request.tag,
@@ -343,11 +346,11 @@ class LoadRunner:
         if clients < 1:
             raise ValueError("closed_loop needs at least one client")
         # Materialise a bounded window of the stream and cycle it: a
-        # cache-hot service can complete jobs far faster than one per
-        # poll interval, and a closed loop must keep offering for the
-        # whole duration (resubmitting recent payloads is the
-        # duplicate-heavy traffic a result cache exists for).
-        budget = max(64, int(duration / max(self.poll_s, 1e-3)) + 8) * clients
+        # cache-hot service can complete jobs faster than the window
+        # covers, and a closed loop must keep offering for the whole
+        # duration (resubmitting recent payloads is the duplicate-heavy
+        # traffic a result cache exists for).
+        budget = max(64, int(duration * CLOSED_LOOP_RATE) + 8) * clients
         stream: List[Request] = []
         for request in engine.requests():
             stream.append(request)
@@ -374,7 +377,7 @@ class LoadRunner:
                 if outcome.status == "rejected":
                     # A closed-loop user backs off briefly on admission
                     # pushback instead of hammering the full queue.
-                    time.sleep(min(0.2, max(self.poll_s, 0.05)))
+                    time.sleep(REJECT_BACKOFF_S)
                 elif think_s > 0:
                     time.sleep(think_s)
 

@@ -52,7 +52,7 @@ _HISTOGRAMS = (
     ("unit_exec_s", "repro_unit_exec_seconds",
      "Per-unit engine execution time (batch time / units in batch)."),
     ("chunk_exec_s", "repro_chunk_exec_seconds",
-     "Engine chunk wall time from recent spans (windowed)."),
+     "Engine chunk wall time, cumulative since boot."),
 )
 
 

@@ -36,7 +36,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "HEADER",
@@ -149,12 +149,23 @@ class Span:
 
 
 class SpanRecorder:
-    """A bounded, thread-safe ring of finished spans."""
+    """A bounded, thread-safe ring of finished spans.
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    ``sink`` (optional) is called with every span as it is recorded,
+    outside the ring's lock: how the service feeds its cumulative
+    latency histograms from the same single record call, independent
+    of how much of the ring has been evicted.
+    """
+
+    def __init__(
+        self,
+        capacity: int = DEFAULT_CAPACITY,
+        sink: Optional[Callable[[Span], None]] = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
+        self.sink = sink
         self._spans: "deque[Span]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
@@ -168,7 +179,9 @@ class SpanRecorder:
             if len(self._spans) == self.capacity:
                 self.dropped += 1
             self._spans.append(span)
-            return span.seq
+        if self.sink is not None:
+            self.sink(span)
+        return span.seq
 
     def spans(self, since: Optional[int] = None) -> List[Span]:
         """Buffered spans in record order; only ``seq > since`` if given."""
@@ -190,10 +203,13 @@ _RECORDER: Optional[SpanRecorder] = None
 _CURRENT = threading.local()
 
 
-def install_recorder(capacity: int = DEFAULT_CAPACITY) -> SpanRecorder:
+def install_recorder(
+    capacity: int = DEFAULT_CAPACITY,
+    sink: Optional[Callable[[Span], None]] = None,
+) -> SpanRecorder:
     """Install (and return) a fresh process-global recorder."""
     global _RECORDER
-    rec = SpanRecorder(capacity)
+    rec = SpanRecorder(capacity, sink=sink)
     _RECORDER = rec
     return rec
 

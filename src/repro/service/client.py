@@ -327,8 +327,16 @@ class ServiceClient:
             )
         )
 
-    def job(self, job_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait_s: Optional[float] = None) -> Dict[str, Any]:
+        """GET the job document; with ``wait_s``, long-poll up to that long.
+
+        The server answers as soon as the job is terminal, after
+        ``wait_s`` seconds (capped server-side) otherwise.
+        """
+        path = f"/v1/jobs/{job_id}"
+        if wait_s:
+            path += f"?wait={wait_s:.3f}"
+        return self._request("GET", path)
 
     def jobs(self) -> List[Dict[str, Any]]:
         return self._request("GET", "/v1/jobs")["jobs"]
@@ -352,11 +360,14 @@ class ServiceClient:
     def wait(
         self,
         job_id: str,
-        poll_s: float = 0.15,
         timeout: Optional[float] = None,
         raise_on_failure: bool = True,
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its document.
+        """Long-poll until the job reaches a terminal state; return its document.
+
+        Each request asks the server to hold it until the job finishes,
+        for at most half the socket timeout and never past ``timeout``,
+        so a job is usually answered by one request the moment it ends.
 
         Raises:
             JobFailed: when the job finished ``failed``/``cancelled``
@@ -365,16 +376,18 @@ class ServiceClient:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            window = self.timeout / 2
+            if deadline is not None:
+                window = min(window, deadline - time.monotonic())
+            job = self.job(job_id, wait_s=max(window, 0.0))
             if job["status"] in _TERMINAL:
                 if raise_on_failure and job["status"] != "done":
                     raise JobFailed(job)
                 return job
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job['status']} after {timeout}s"
                 )
-            self._sleep(poll_s)
 
     def collect(
         self, receipt: Dict[str, Any], job: Dict[str, Any]
@@ -434,12 +447,10 @@ class RemoteEngine:
         client: ServiceClient,
         priority: int = 0,
         timeout_s: Optional[float] = None,
-        poll_s: float = 0.15,
     ) -> None:
         self.client = client
         self.priority = priority
         self.timeout_s = timeout_s
-        self.poll_s = poll_s
         self.stats: Dict[str, int] = {"jobs": 0, "remote_units": 0}
         self._results: "Dict[tuple, RunResult]" = {}
 
@@ -466,7 +477,7 @@ class RemoteEngine:
         receipt = self.client.submit_batch(
             configs, priority=self.priority, timeout_s=self.timeout_s
         )
-        job = self.client.wait(receipt["id"], poll_s=self.poll_s)
+        job = self.client.wait(receipt["id"])
         payloads = self.client.collect(receipt, job)
         self.stats["jobs"] += 1
         self.stats["remote_units"] += len(configs)

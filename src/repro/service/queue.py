@@ -23,12 +23,18 @@ condition variable instead of polling.  Completion is event-driven:
 when a unit finishes, every attached job's pending set shrinks, and
 jobs whose pending set empties are finished (and reported through the
 ``on_job_finished`` hook, which the server wires to the journal and
-telemetry).
+telemetry).  Clients long-polling a job (:meth:`JobBoard.wait_finished`)
+block on a second condition that is signalled once that hook has run.
+
+Completed results are held once, as their JSON text: the wire form is
+what every reader wants, and the text is a quarter of the size of the
+decoded dict.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -113,7 +119,8 @@ class JobBoard:
             returns :class:`QueueFull`.
         retention_jobs: Terminal jobs kept for status queries (oldest
             pruned first).
-        retention_results: Completed unit payloads kept in memory.
+        retention_results: Completed unit results kept in memory (as
+            JSON text).
     """
 
     def __init__(
@@ -131,9 +138,10 @@ class JobBoard:
         self.retention_results = retention_results
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
+        self._finished = threading.Condition(self._lock)
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._units: Dict[str, Unit] = {}
-        self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._results: "OrderedDict[str, str]" = OrderedDict()
         self._heap: List = []
         self._seq = 0
         self._closed = False
@@ -170,6 +178,7 @@ class JobBoard:
             job.cancel = threading.Event()  # type: ignore[attr-defined]
             job.submitted_at = time.time()  # type: ignore[attr-defined]
             job.finished_at = None  # type: ignore[attr-defined]
+            job.reported = False  # type: ignore[attr-defined]
             coalesced = cached = 0
             trace_id = getattr(job, "trace_id", None)
             seen: Set[str] = set()
@@ -223,12 +232,12 @@ class JobBoard:
         if self.store is not None:
             payload = self.store.get_payload(key)
             if payload is not None and "result" in payload:
-                self._remember_result(key, payload["result"])
+                self._remember_result(key, json.dumps(payload["result"]))
                 return True
         return False
 
-    def _remember_result(self, key: str, result: Dict[str, Any]) -> None:
-        self._results[key] = result
+    def _remember_result(self, key: str, text: str) -> None:
+        self._results[key] = text
         self._results.move_to_end(key)
         while len(self._results) > self.retention_results:
             self._results.popitem(last=False)
@@ -317,7 +326,7 @@ class JobBoard:
                 # Exponential moving average; drives Retry-After hints.
                 self._unit_seconds = 0.7 * self._unit_seconds + 0.3 * max(elapsed, 0.01)
             unit = self._units.pop(key, None)
-            self._remember_result(key, result.to_dict())
+            self._remember_result(key, result.to_json())
             if unit is None:
                 return
             for job_id in unit.jobs:
@@ -496,9 +505,37 @@ class JobBoard:
         job.finished_at = time.time()  # type: ignore[attr-defined]
 
     def _notify(self, job: Job) -> None:
+        """Run the finish hook, then wake the job's long-pollers.
+
+        Waking after the hook means a client released by
+        :meth:`wait_finished` sees the journal's finish record written.
+        """
         hook = self.on_job_finished
-        if hook is not None:
-            hook(job)
+        try:
+            if hook is not None:
+                hook(job)
+        finally:
+            with self._lock:
+                job.reported = True  # type: ignore[attr-defined]
+                self._finished.notify_all()
+
+    def wait_finished(self, job_id: str, timeout: float) -> None:
+        """Block until the job is terminal and reported, or ``timeout`` passes.
+
+        Returns at once for an unknown job and after :meth:`close`, so
+        a drain never leaves a long-poll hanging; the caller reads the
+        job's state afterwards either way.
+        """
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while not self._closed:
+                job = self._jobs.get(job_id)
+                if job is None or job.reported:  # type: ignore[attr-defined]
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self._finished.wait(remaining)
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -542,9 +579,11 @@ class JobBoard:
         lookup API.
         """
         with self._lock:
-            if key in self._results:
+            text = self._results.get(key)
+            if text is not None:
                 self._results.move_to_end(key)
-                return self._results[key]
+        if text is not None:
+            return json.loads(text)
         if self.store is not None:
             try:
                 payload = self.store.get_payload(key)
@@ -552,7 +591,7 @@ class JobBoard:
                 return None
             if payload is not None and "result" in payload:
                 with self._lock:
-                    self._remember_result(key, payload["result"])
+                    self._remember_result(key, json.dumps(payload["result"]))
                 return payload["result"]
         return None
 
@@ -585,7 +624,8 @@ class JobBoard:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop admission and wake any blocked :meth:`pop` callers."""
+        """Stop admission; wake blocked :meth:`pop` and long-poll callers."""
         with self._lock:
             self._closed = True
             self._work.notify_all()
+            self._finished.notify_all()

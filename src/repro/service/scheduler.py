@@ -130,18 +130,15 @@ class Scheduler:
                 timer.start()
         # The queue-wait span: submission to this claim.  Both ends come
         # from the board's own wall-clock stamps, so the span is exact
-        # even when the scheduler was busy with earlier jobs.
+        # even when the scheduler was busy with earlier jobs.  The
+        # server's span sink turns it into the queue-wait histogram.
         submitted_at = getattr(job, "submitted_at", None)
         started_at = getattr(job, "started_at", None)
-        trace_id = getattr(job, "trace_id", None)
-        root_span = getattr(job, "root_span_id", None)
         if submitted_at is not None and started_at is not None:
-            wait = max(0.0, started_at - submitted_at)
-            if self.telemetry is not None:
-                self.telemetry.observe_queue_wait(wait)
             obs_trace.record_span(
-                "job.wait", submitted_at, wait,
-                trace_id=trace_id, parent_id=root_span,
+                "job.wait", submitted_at, started_at - submitted_at,
+                trace_id=getattr(job, "trace_id", None),
+                parent_id=getattr(job, "root_span_id", None),
                 attrs={"job_id": job.id},
             )
         try:
@@ -212,7 +209,6 @@ class Scheduler:
         per_unit = elapsed / max(len(units), 1)
         if self.telemetry is not None:
             self.telemetry.bump("units_executed", len(units))
-            self.telemetry.observe_unit_exec(per_unit, units=len(units))
         obs_trace.record_span(
             "unit.exec", started_wall, elapsed,
             trace_id=trace_id, span_id=exec_span,

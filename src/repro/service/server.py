@@ -9,7 +9,10 @@ Method   Path                       Meaning
 =======  =========================  ===========================================
 POST     ``/v1/jobs``               Submit a run/sweep/batch job (202)
 GET      ``/v1/jobs``               List retained jobs
-GET      ``/v1/jobs/<id>``          Status + partial results (404 unknown)
+GET      ``/v1/jobs/<id>``          Status + partial results (404 unknown);
+                                    ``?wait=S`` long-polls: blocks until
+                                    the job is terminal or S seconds
+                                    pass (S capped at ``MAX_WAIT_S``)
 POST     ``/v1/jobs/<id>/cancel``   Cancel (idempotent)
 DELETE   ``/v1/jobs/<id>``          Alias for cancel
 GET      ``/v1/results/<key>``      One result by canonical cache key
@@ -34,7 +37,8 @@ the trace id through the job, its units, the scheduler spans and the
 engine's chunk spans — all collected in a bounded in-process ring
 served by ``/v1/trace``.
 
-Error mapping: malformed JSON or structure → 400; unknown
+Error mapping: malformed JSON or structure, or a ``wait`` that is not
+one finite non-negative number → 400; unknown
 policy/benchmark/node → 422 with the registry's message; queue full →
 429 with a ``Retry-After`` header; oversized body → 413.  All
 responses are JSON.
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import signal
 import threading
@@ -70,15 +75,19 @@ from .jobs import Job, JobError, parse_job_payload
 from .journal import JobJournal
 from .queue import JobBoard, QueueFull
 from .scheduler import Scheduler
-from .telemetry import HISTOGRAM_BOUNDS, Histogram, Telemetry
+from .telemetry import Telemetry
 
-__all__ = ["ServiceServer", "policies_payload"]
+__all__ = ["MAX_WAIT_S", "ServiceServer", "policies_payload"]
 
 log = logging.getLogger("repro.service")
 
 #: Largest accepted request body; a sweep spec is a few KB, so this is
 #: generous while still bounding a hostile upload.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest a ``GET /v1/jobs/<id>?wait=S`` long-poll holds its request;
+#: larger S values are clipped to it and the client simply asks again.
+MAX_WAIT_S = 20.0
 
 _JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
 _CANCEL_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)/cancel$")
@@ -105,8 +114,11 @@ class ServiceServer:
     """The job-queue service wired together: board, scheduler, HTTP.
 
     Args:
-        engine: The engine executing every unit (its worker pool, LRU,
-            result store and fast/reference setting are the service's).
+        engine: The engine executing every unit (its worker pool, result
+            store and fast/reference setting are the service's).  The
+            default keeps no in-memory LRU: the board's result LRU and
+            the store answer every repeat before the engine sees it, so
+            an engine LRU would only hold a second copy of each result.
         host / port: Bind address; port ``0`` picks an ephemeral port
             (tests and the bench harness use this).
         queue_limit: Live jobs admitted before 429.
@@ -124,7 +136,7 @@ class ServiceServer:
         retention_jobs: int = 1024,
         retention_results: int = 4096,
     ) -> None:
-        self.engine = engine if engine is not None else SimEngine()
+        self.engine = engine if engine is not None else SimEngine(max_cached_runs=0)
         self.telemetry = Telemetry()
         self.board = JobBoard(
             store=self.engine.store,
@@ -143,8 +155,11 @@ class ServiceServer:
         # execution.  Installing here makes this server the process's
         # span sink (the scheduler and engine record through the module
         # global), which is exactly right for the one-server-per-process
-        # production topology and for in-process chaos/tests.
-        self.spans = obs_trace.install_recorder()
+        # production topology and for in-process chaos/tests.  Every
+        # span also feeds the telemetry histograms as it is recorded,
+        # so each event is instrumented by one call and the histograms
+        # stay cumulative however far the ring has evicted.
+        self.spans = obs_trace.install_recorder(sink=self.telemetry.observe_span)
         self.scheduler = Scheduler(self.board, self.engine, self.telemetry)
         self._draining = threading.Event()
         self._stopped = threading.Event()
@@ -305,7 +320,7 @@ class ServiceServer:
         request_headers: Optional[Any] = None,
     ) -> Tuple[int, Any, Dict[str, str]]:
         path, _, query = path.partition("?")
-        params = parse_qs(query) if query else {}
+        params = parse_qs(query, keep_blank_values=True) if query else {}
         if path == "/healthz":
             if self._draining.is_set():
                 return 503, {"status": "draining"}, {}
@@ -355,6 +370,12 @@ class ServiceServer:
         match = _JOB_PATH.match(path)
         if match:
             if method == "GET":
+                try:
+                    wait_s = _wait_param(params.get("wait"))
+                except ValueError as error:
+                    return 400, {"error": str(error)}, {}
+                if wait_s:
+                    self.board.wait_finished(match.group(1), wait_s)
                 payload = self.board.job_payload(match.group(1))
                 if payload is None:
                     return 404, {"error": f"unknown job {match.group(1)!r}"}, {}
@@ -523,17 +544,30 @@ class ServiceServer:
             store.stats.get("corrupt_entries", 0) if store is not None else 0
         )
         metrics["draining"] = self._draining.is_set()
-        # Chunk-latency histogram from the span ring: windowed (the ring
-        # is bounded), unlike the cumulative telemetry histograms — the
-        # exporter's HELP line says so.
-        chunk_hist = Histogram(HISTOGRAM_BOUNDS)
-        for span in self.spans.spans():
-            if span.name == "engine.chunk":
-                chunk_hist.observe(span.duration_s)
-        metrics.setdefault("histograms", {})["chunk_exec_s"] = chunk_hist.as_dict()
         metrics["spans_recorded"] = self.spans.last_seq()
         metrics["spans_dropped"] = self.spans.dropped
         return metrics
+
+
+def _wait_param(values: Optional[list]) -> Optional[float]:
+    """The ``?wait=`` long-poll window in seconds, capped at ``MAX_WAIT_S``.
+
+    ``None`` when absent.  Raises :class:`ValueError` (a 400) unless it
+    is given once and is a finite, non-negative number.
+    """
+    if values is None:
+        return None
+    if len(values) != 1:
+        raise ValueError("wait may be given only once")
+    try:
+        wait_s = float(values[0])
+    except ValueError:
+        wait_s = math.nan
+    if not math.isfinite(wait_s) or wait_s < 0:
+        raise ValueError(
+            f"bad wait value {values[0]!r}: expected finite, non-negative seconds"
+        )
+    return min(wait_s, MAX_WAIT_S)
 
 
 def _make_handler(service: ServiceServer):

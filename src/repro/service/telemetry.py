@@ -2,7 +2,10 @@
 
 One :class:`Telemetry` instance is shared by the HTTP layer (request
 counts), the board hooks (job lifecycle, coalescing/cache admission
-stats) and the scheduler (queue-wait and unit execution times).
+stats) and the span recorder: :meth:`Telemetry.observe_span` is the
+recorder's sink, so the scheduler's ``job.wait`` and ``unit.exec``
+spans and the engine's ``engine.chunk`` spans reach the histograms
+through the one call that records them.
 Everything is behind one lock and cheap enough to update on every
 event; ``/metrics`` serialises a snapshot and ``/metrics?format=prom``
 re-renders the same snapshot as Prometheus text exposition.
@@ -23,6 +26,8 @@ import time
 from bisect import bisect_left
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.trace import Span
 
 __all__ = ["HISTOGRAM_BOUNDS", "Histogram", "Telemetry", "percentile"]
 
@@ -110,6 +115,7 @@ class Telemetry:
         self._hist_job = Histogram()
         self._hist_unit = Histogram()
         self._hist_wait = Histogram()
+        self._hist_chunk = Histogram()
 
     # ------------------------------------------------------------------
     def bump(self, counter: str, amount: int = 1) -> None:
@@ -153,6 +159,17 @@ class Telemetry:
             self._unit_latencies.append(per_unit_s)
             self._hist_unit.observe(per_unit_s, n=units)
 
+    def observe_span(self, span: Span) -> None:
+        """Span-recorder sink: feed the histogram a span's name maps to."""
+        if span.name == "job.wait":
+            self.observe_queue_wait(span.duration_s)
+        elif span.name == "unit.exec":
+            units = int(span.attrs.get("units", 1))
+            self.observe_unit_exec(span.duration_s / max(units, 1), units=units)
+        elif span.name == "engine.chunk":
+            with self._lock:
+                self._hist_chunk.observe(span.duration_s)
+
     # ------------------------------------------------------------------
     @staticmethod
     def _latency_block(window) -> Dict[str, Any]:
@@ -195,6 +212,7 @@ class Telemetry:
                     "job_latency_s": self._hist_job.as_dict(),
                     "queue_wait_s": self._hist_wait.as_dict(),
                     "unit_exec_s": self._hist_unit.as_dict(),
+                    "chunk_exec_s": self._hist_chunk.as_dict(),
                 },
                 "coalesce_rate": (
                     round(served_without_pool / requested, 4) if requested else None

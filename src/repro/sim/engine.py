@@ -245,7 +245,8 @@ class SimEngine:
     """Run simulations with caching, persistence and parallelism.
 
     Args:
-        max_cached_runs: Capacity of the in-memory LRU result cache.
+        max_cached_runs: Capacity of the in-memory LRU result cache;
+            ``0`` keeps no LRU (results still go to the store).
         workers: Default process count for :meth:`run_many` /
             :meth:`sweep`; ``1`` means serial in-process execution.
         store: Optional on-disk result store (or a directory path for
@@ -270,8 +271,8 @@ class SimEngine:
         fast: bool = True,
         chunk_retries: int = 2,
     ) -> None:
-        if max_cached_runs < 1:
-            raise ValueError("max_cached_runs must be at least 1")
+        if max_cached_runs < 0:
+            raise ValueError("max_cached_runs must be non-negative")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if chunk_retries < 0:
@@ -417,6 +418,8 @@ class SimEngine:
             self.stats[stat] += 1
 
     def _cache_put(self, key: Tuple, result: RunResult) -> None:
+        if not self.max_cached_runs:
+            return
         with self._lock:
             self._cache[key] = result
             self._cache.move_to_end(key)

@@ -117,7 +117,7 @@ class TestTornJournalBoot:
         server.start()
         try:
             client = ServiceClient(server.url, retries=3, backoff=0.05)
-            finished = client.wait(job.id, poll_s=0.05, timeout=120.0)
+            finished = client.wait(job.id, timeout=120.0)
             assert finished["status"] == "done"
             payloads = client.collect({"units": finished["unit_keys"]}, finished)
             assert payloads == [expected]

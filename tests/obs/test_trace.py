@@ -111,6 +111,21 @@ class TestSpanRecorder:
         assert rec.spans(since=rec.last_seq()) == []
 
 
+    def test_sink_sees_every_span_even_past_capacity(self):
+        seen = []
+        rec = obs_trace.SpanRecorder(capacity=3, sink=seen.append)
+        for n in range(7):
+            rec.record(
+                obs_trace.Span(
+                    name=f"s{n}", trace_id="t", span_id="i",
+                    start_s=0.0, duration_s=0.0,
+                )
+            )
+        assert [span.name for span in seen] == [f"s{n}" for n in range(7)]
+        assert [span.seq for span in seen] == list(range(1, 8))
+        assert len(rec) == 3
+
+
 class TestRecordSpan:
     def test_disarmed_record_is_a_noop(self):
         obs_trace.clear_recorder()

@@ -175,7 +175,7 @@ class TestRetryDiscipline:
         ] * 50
         client = ServiceClient(url, retries=0, sleep=lambda s: None)
         with pytest.raises(TimeoutError):
-            client.wait("job-x", poll_s=0.0, timeout=0.0)
+            client.wait("job-x", timeout=0.0)
 
 
 class _FakeClock:

@@ -177,6 +177,31 @@ class TestPrometheusEndpoint:
         assert metrics["unit_exec_s"]["samples"] >= 1
         assert metrics["queue_wait_s"]["p99"] is not None
 
+    def test_each_event_is_observed_once(self, server):
+        _, receipt, _ = _submit(server)
+        _wait_done(server, receipt["id"])
+        _, metrics, _ = server.dispatch("GET", "/metrics")
+        hists = metrics["histograms"]
+        assert hists["queue_wait_s"]["count"] == 1
+        assert hists["unit_exec_s"]["count"] == 1
+        assert hists["chunk_exec_s"]["count"] == sum(
+            1 for span in server.spans.spans() if span.name == "engine.chunk"
+        )
+
+    def test_chunk_histogram_is_cumulative_past_ring_capacity(self, server):
+        extra = obs_trace.DEFAULT_CAPACITY + 100
+        for _ in range(extra):
+            obs_trace.record_span("engine.chunk", 0.0, 0.03)
+        status, metrics, _ = server.dispatch("GET", "/metrics")
+        assert status == 200
+        assert metrics["spans_dropped"] >= 100
+        hist = metrics["histograms"]["chunk_exec_s"]
+        assert hist["count"] == extra
+        assert hist["sum"] == pytest.approx(0.03 * extra)
+        _, body, _ = server.dispatch("GET", "/metrics?format=prom")
+        assert f"repro_chunk_exec_seconds_count {extra}" in body
+        assert "cumulative since boot" in body
+
     def test_unknown_format_falls_back_to_json(self, server):
         status, payload, _ = server.dispatch("GET", "/metrics?format=yaml")
         assert status == 200

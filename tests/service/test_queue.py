@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.service.jobs import Job
@@ -175,3 +178,114 @@ class TestFailure:
         board.cancel(cancelled.id)
         assert (done.id, "done") in seen
         assert (cancelled.id, "cancelled") in seen
+
+
+class TestResultRetention:
+    def test_results_are_held_once_as_json_text(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        cached = SimulationConfig(benchmark="art", n_instructions=400)
+        store.put(cached, execute_run_fast(cached))
+        board = JobBoard(store=store)
+        board.submit(_job("art"))  # a store hit enters the LRU too
+        job = _job("gcc")
+        board.submit(job)
+        (unit,) = board.claim(board.pop(timeout=0.1))
+        result = execute_run_fast(unit.config)
+        board.complete_unit(unit.key, result)
+        assert len(board._results) == 2
+        assert all(isinstance(text, str) for text in board._results.values())
+        assert board._results[unit.key] == result.to_json()
+        # Each read decodes a fresh dict: no caller can mutate the copy.
+        first = board.result_payload(unit.key)
+        first["benchmark"] = "mutated"
+        assert board.result_payload(unit.key) == result.to_dict()
+
+
+class TestWaitFinished:
+    @staticmethod
+    def _waiter(board, job_id, timeout):
+        """Run wait_finished in a thread; the box gets its return time."""
+        box = {}
+
+        def run():
+            board.wait_finished(job_id, timeout)
+            box["at"] = time.monotonic()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, box
+
+    def test_completion_wakes_a_waiter_at_once(self):
+        board = JobBoard()
+        job = _job("gcc")
+        board.submit(job)
+        (unit,) = board.claim(board.pop(timeout=0.1))
+        result = execute_run_fast(unit.config)
+        thread, box = self._waiter(board, job.id, 30.0)
+        time.sleep(0.1)
+        assert thread.is_alive()
+        done_at = time.monotonic()
+        board.complete_unit(unit.key, result)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert box["at"] - done_at < 0.5
+
+    def test_unfinished_job_waits_out_the_window(self):
+        board = JobBoard()
+        job = _job("gcc")
+        board.submit(job)
+        start = time.monotonic()
+        board.wait_finished(job.id, 0.2)
+        assert 0.2 <= time.monotonic() - start < 2.0
+        assert job.status == "queued"
+
+    def test_unknown_and_terminal_jobs_return_immediately(self):
+        board = JobBoard()
+        job = _job("gcc")
+        board.submit(job)
+        board.cancel(job.id)
+        start = time.monotonic()
+        board.wait_finished("nope", 10.0)
+        board.wait_finished(job.id, 10.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_waiter_wakes_only_after_the_finish_hook(self):
+        board = JobBoard()
+        hooked = []
+
+        def slow_hook(job):
+            time.sleep(0.2)
+            hooked.append(job.id)
+
+        board.on_job_finished = slow_hook
+        job = _job("gcc")
+        board.submit(job)
+        (unit,) = board.claim(board.pop(timeout=0.1))
+        result = execute_run_fast(unit.config)
+        seen = []
+
+        def wait():
+            board.wait_finished(job.id, 30.0)
+            seen.append(list(hooked))
+
+        thread = threading.Thread(target=wait, daemon=True)
+        thread.start()
+        board.complete_unit(unit.key, result)
+        thread.join(5.0)
+        assert seen == [[job.id]]
+
+    def test_close_releases_waiters(self):
+        board = JobBoard()
+        job = _job("gcc")
+        board.submit(job)
+        thread, box = self._waiter(board, job.id, 30.0)
+        time.sleep(0.1)
+        closed_at = time.monotonic()
+        board.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert box["at"] - closed_at < 0.5
+        # A closed board answers every later long-poll at once.
+        start = time.monotonic()
+        board.wait_finished(job.id, 30.0)
+        assert time.monotonic() - start < 0.5

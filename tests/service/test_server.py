@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import math
+import threading
 import time
+from urllib.parse import quote
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.service import server as server_module
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ServiceServer
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimEngine
+from repro.sim.metrics import RunResult
 
 
 def _payload(benchmark="gcc", instructions=400, **extra) -> dict:
@@ -31,8 +38,22 @@ def server(tmp_path):
         yield server
 
 
+@pytest.fixture()
+def idle_server(tmp_path, monkeypatch):
+    """A live server whose scheduler never runs: every job stays queued."""
+    server = ServiceServer(engine=SimEngine(store=tmp_path / "store"))
+    monkeypatch.setattr(server.scheduler, "start", lambda: None)
+    server.start()
+    yield server
+    server.stop()
+
+
 def _post(server, body_bytes):
     return server.dispatch("POST", "/v1/jobs", body_bytes)
+
+
+def _long_poll(server, job_id, wait):
+    return server.dispatch("GET", f"/v1/jobs/{job_id}?wait={wait}", None)
 
 
 class TestFailurePaths:
@@ -94,6 +115,41 @@ class TestFailurePaths:
         )
         assert status == 400
         assert "id must be" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "query",
+        ["wait=soon", "wait=-1", "wait=nan", "wait=inf", "wait=-inf",
+         "wait=1e999", "wait=", "wait=0x10", "wait=1&wait=2"],
+    )
+    def test_hostile_wait_is_400(self, server, query):
+        _, receipt, _ = _post(server, json.dumps(_payload()).encode())
+        status, payload, _ = server.dispatch(
+            "GET", f"/v1/jobs/{receipt['id']}?{query}", None
+        )
+        assert status == 400
+        assert "wait" in payload["error"]
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(raw=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    def test_any_wait_value_is_answered_200_or_400(self, server, raw):
+        # One finished job serves every example: a valid window then
+        # returns at once, so only the parameter handling is exercised.
+        job_id = "wait-fuzz"
+        if server.board.get(job_id) is None:
+            _post(server, json.dumps(_payload(id=job_id)).encode())
+            _long_poll(server, job_id, 60)
+        try:
+            value = float(raw)
+            valid = math.isfinite(value) and value >= 0
+        except ValueError:
+            valid = False
+        status, payload, _ = _long_poll(server, job_id, quote(raw, safe=""))
+        assert status == (200 if valid else 400)
+        if valid:
+            assert payload["status"] == "done"
 
     def test_unknown_endpoint_is_404(self, server):
         status, _, _ = server.dispatch("GET", "/v2/nothing", None)
@@ -209,6 +265,123 @@ class TestHappyPath:
         status, _, _ = _post(server, json.dumps(_payload()).encode())
         assert status == 503
         server.stop()
+
+
+class TestLongPoll:
+    def test_returns_within_ms_of_completion(self, server):
+        _, receipt, _ = _post(
+            server, json.dumps(_payload(instructions=20_000)).encode()
+        )
+        start = time.monotonic()
+        status, job, _ = _long_poll(server, receipt["id"], 30)
+        returned = time.time()
+        assert status == 200 and job["status"] == "done"
+        assert time.monotonic() - start < 15
+        assert returned - job["finished_at"] < 0.1
+        (key,) = receipt["units"]
+        assert job["results"][key]["benchmark"] == "gcc"
+
+    def test_woken_client_sees_the_journal_finish_record(self, server, tmp_path):
+        _, receipt, _ = _post(server, json.dumps(_payload()).encode())
+        _, job, _ = _long_poll(server, receipt["id"], 30)
+        assert job["status"] == "done"
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "wal").read_text().splitlines()
+        ]
+        assert {"v": 1, "event": "done", "id": receipt["id"]} in events
+
+    def test_queued_job_returns_at_the_window(self, idle_server):
+        _, receipt, _ = _post(idle_server, json.dumps(_payload()).encode())
+        start = time.monotonic()
+        status, job, _ = _long_poll(idle_server, receipt["id"], 0.3)
+        assert 0.3 <= time.monotonic() - start < 2.0
+        assert status == 200 and job["status"] == "queued"
+
+    def test_window_is_capped(self, idle_server, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_WAIT_S", 0.2)
+        _, receipt, _ = _post(idle_server, json.dumps(_payload()).encode())
+        start = time.monotonic()
+        status, job, _ = _long_poll(idle_server, receipt["id"], 5)
+        assert 0.2 <= time.monotonic() - start < 2.0
+        assert status == 200 and job["status"] == "queued"
+
+    def test_unknown_job_is_404_without_waiting(self, server):
+        start = time.monotonic()
+        status, _, _ = _long_poll(server, "nope", 10)
+        assert status == 404
+        assert time.monotonic() - start < 1.0
+
+    def test_drain_releases_a_blocked_long_poll(self, idle_server):
+        _, receipt, _ = _post(idle_server, json.dumps(_payload()).encode())
+        box = {}
+
+        def poll():
+            box["response"] = _long_poll(idle_server, receipt["id"], 30)
+            box["at"] = time.monotonic()
+
+        thread = threading.Thread(target=poll, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        assert thread.is_alive()
+        stop_at = time.monotonic()
+        idle_server.stop()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert box["at"] - stop_at < 1.0
+        status, job, _ = box["response"]
+        assert status == 200 and job["status"] == "queued"
+
+    def test_client_wait_times_out_close_to_its_deadline(self, idle_server):
+        client = ServiceClient(idle_server.url)
+        receipt = client.submit_run(
+            SimulationConfig(benchmark="gcc", n_instructions=400)
+        )
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            client.wait(receipt["id"], timeout=0.5)
+        assert 0.5 <= time.monotonic() - start < 1.5
+
+    def test_client_wait_is_one_request_per_job(self, server):
+        client = ServiceClient(server.url)
+        calls = []
+        fetch = client.job
+
+        def counted(job_id, **kwargs):
+            calls.append(kwargs)
+            return fetch(job_id, **kwargs)
+
+        client.job = counted
+        receipt = client.submit_run(
+            SimulationConfig(benchmark="gcc", n_instructions=5_000)
+        )
+        assert client.wait(receipt["id"])["status"] == "done"
+        assert len(calls) == 1
+        assert 0 < calls[0]["wait_s"] < client.timeout
+
+
+class TestResultRetention:
+    @staticmethod
+    def _run_results() -> int:
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, RunResult))
+
+    def test_server_retains_no_run_result_per_completed_unit(self):
+        before = self._run_results()
+        with ServiceServer() as server:
+            client = ServiceClient(server.url)
+            for seed in (1, 2, 3):
+                receipt = client.submit_run(
+                    SimulationConfig(benchmark="gcc", n_instructions=400, seed=seed)
+                )
+                client.wait(receipt["id"])
+            # The executor may still be unwinding the last unit's frame.
+            deadline = time.monotonic() + 5
+            while self._run_results() > before and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert self._run_results() <= before
+            assert len(server.engine) == 0
+            assert server.engine.max_cached_runs == 0
 
 
 class TestOverHttp:

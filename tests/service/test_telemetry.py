@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import Span
 from repro.service.telemetry import HISTOGRAM_BOUNDS, Telemetry, percentile
 
 
@@ -62,3 +63,27 @@ class TestObservations:
         snap = telemetry.snapshot()
         for payload in snap["histograms"].values():
             assert tuple(payload["bounds"]) == HISTOGRAM_BOUNDS
+
+
+def _span(name, duration_s, **attrs):
+    return Span(name=name, trace_id="t", span_id="s", start_s=0.0,
+                duration_s=duration_s, attrs=attrs)
+
+
+class TestSpanSink:
+    def test_each_span_name_feeds_its_histogram(self):
+        telemetry = Telemetry()
+        telemetry.observe_span(_span("job.wait", 0.02))
+        telemetry.observe_span(_span("unit.exec", 0.3, units=3))
+        telemetry.observe_span(_span("engine.chunk", 0.1))
+        telemetry.observe_span(_span("server.admit", 0.001))  # no histogram
+        snap = telemetry.snapshot()
+        hists = snap["histograms"]
+        assert hists["queue_wait_s"]["count"] == 1
+        assert hists["queue_wait_s"]["sum"] == pytest.approx(0.02)
+        # A 3-unit batch is three per-unit observations of a third each.
+        assert hists["unit_exec_s"]["count"] == 3
+        assert hists["unit_exec_s"]["sum"] == pytest.approx(0.3)
+        assert snap["unit_exec_s"]["p50"] == pytest.approx(0.1)
+        assert hists["chunk_exec_s"]["count"] == 1
+        assert hists["job_latency_s"]["count"] == 0

@@ -60,9 +60,19 @@ class TestEngineCache:
         assert SimEngine()
         assert len(SimEngine()) == 0
 
+    def test_zero_capacity_keeps_no_lru_but_still_stores(self, tmp_path):
+        engine = SimEngine(max_cached_runs=0, store=tmp_path / "store")
+        first = engine.run(_tiny(n=600))
+        again = engine.run(_tiny(n=600))
+        assert again == first and again is not first
+        assert len(engine) == 0
+        assert engine.stats["memory_hits"] == 0
+        assert engine.stats["computed"] == 1
+        assert engine.stats["store_hits"] == 1
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            SimEngine(max_cached_runs=0)
+            SimEngine(max_cached_runs=-1)
         with pytest.raises(ValueError):
             SimEngine(workers=0)
 
