@@ -346,6 +346,16 @@ def trip(site: str) -> Optional[FaultHit]:
     return hit
 
 
+def _reset_lock_in_child() -> None:
+    # The service forks its pool workers from a threaded server: a fork
+    # taken while an HTTP thread holds the lock would leave the worker's
+    # copy held forever, and its first armed check would hang.
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_in_child)
+
 # Subprocess activation: a spawned worker or a `repro serve` child reads
 # the plan from the environment at import.  A malformed spec raises here
 # — better a loud ImportError in the chaos harness than a silent no-op.

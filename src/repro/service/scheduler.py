@@ -5,7 +5,10 @@ in priority order, claims their still-pending units, and executes them
 with :meth:`SimEngine.run_many` — which shards the batch into
 trace-affine chunks over the persistent fork pool, exactly as a local
 sweep would (the service adds no second scheduling layer; it reuses the
-engine's).
+engine's).  Even a single-unit job runs on the pool (``isolate=True``):
+the kernel then never holds the server's GIL, so submissions and
+long-polls are answered while a unit executes, and the pace of the
+service follows the kernel rather than contention between threads.
 
 Per-job control:
 
@@ -176,7 +179,7 @@ class Scheduler:
                     cancel.set()
                 elif hit.action == "raise":
                     raise faults.FaultInjected("scheduler.unit")
-            results = self.engine.run_many(configs, cancel=cancel)
+            results = self.engine.run_many(configs, cancel=cancel, isolate=True)
         except RunCancelled:
             self._recover_cancelled(job, units)
             self.board.finish_cancelled(job)

@@ -443,6 +443,7 @@ class SimEngine:
         workers: Optional[int] = None,
         use_cache: bool = True,
         cancel: Optional[threading.Event] = None,
+        isolate: bool = False,
     ) -> List[RunResult]:
         """Simulate many configurations, in parallel when ``workers > 1``.
 
@@ -458,6 +459,12 @@ class SimEngine:
         already in the cache/store — fresh results are written back as
         they complete, not at the end of the batch — so a resubmitted
         batch resumes instead of restarting.
+
+        ``isolate`` runs every configuration on the worker pool, even a
+        lone one with ``workers == 1``, so the kernel never holds the
+        calling process's GIL.  The service's scheduler sets it: in the
+        server the GIL is shared with the HTTP threads, and a kernel
+        holding it makes every request wait behind it.
         """
         workers = self.workers if workers is None else workers
         if workers < 1:
@@ -504,7 +511,7 @@ class SimEngine:
                 for index in pending[key]:
                     results[index] = result
 
-            if workers > 1 and len(todo) > 1:
+            if isolate or (workers > 1 and len(todo) > 1):
                 self._run_parallel(
                     [config for _, config in todo],
                     workers,

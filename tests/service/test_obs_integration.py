@@ -4,6 +4,7 @@ the observability endpoints (/v1/trace, /metrics?format=prom)."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -118,6 +119,15 @@ class TestForkWorkerSpans:
                 assert chunk.parent_id == unit.span_id
                 assert chunk.attrs["worker_pid"] > 0
                 assert chunk.attrs["configs"] >= 1
+
+    def test_single_unit_job_runs_outside_the_server_process(self, server):
+        # The default workers=1 engine still executes on its fork pool,
+        # so the kernel never holds the server's GIL.
+        status, receipt, _ = _submit(server)
+        assert status == 202
+        assert _wait_done(server, receipt["id"])["status"] == "done"
+        (chunk,) = [s for s in server.spans.spans() if s.name == "engine.chunk"]
+        assert chunk.attrs["worker_pid"] not in (0, os.getpid())
 
 
 class TestTraceEndpoint:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.core.registry import PolicySpec
+from repro.obs import trace as obs_trace
 from repro.sim import ResultStore, SimEngine, SimulationConfig
 
 
@@ -103,6 +104,18 @@ class TestParallelExecution:
         results = engine.run_many([_tiny("gcc", n=700), _tiny("mesa", n=700)])
         assert results[0] is warm
         assert engine.stats["computed"] == 2
+
+    def test_isolate_runs_a_lone_config_on_the_pool(self):
+        config = _tiny(n=700)
+        recorder = obs_trace.install_recorder()
+        try:
+            with SimEngine() as engine:
+                (isolated,) = engine.run_many([config], isolate=True)
+        finally:
+            obs_trace.clear_recorder()
+        (chunk,) = [s for s in recorder.spans() if s.name == "engine.chunk"]
+        assert chunk.attrs["worker_pid"] != os.getpid()
+        assert isolated == SimEngine().run(config)
 
     def test_runs_are_deterministic_across_processes(self):
         """A fresh interpreter reproduces a run bit-for-bit.

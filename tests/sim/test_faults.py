@@ -123,6 +123,20 @@ class TestTrip:
     def test_trip_without_plan_is_a_no_op(self):
         faults.trip("engine.chunk")
 
+    def test_fork_while_another_thread_checks_leaves_child_usable(self):
+        import os
+
+        with faults._LOCK:  # another thread mid-check at fork time
+            pid = os.fork()
+            if pid == 0:  # the child: its first armed check must not hang
+                code = 2
+                try:
+                    code = 0 if faults._LOCK.acquire(timeout=5) else 1
+                finally:
+                    os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 0
+
     def test_env_spec_installs_on_import(self, tmp_path):
         # Subprocess activation: REPRO_FAULTS at import time arms the
         # registry — how forked/spawned workers pick up a plan.
