@@ -63,6 +63,9 @@ __all__ = [
     "execute_run_fast",
 ]
 
+#: How often a pool worker checks that its parent is still alive.
+PARENT_WATCH_S = 0.5
+
 
 class RunCancelled(Exception):
     """A :meth:`SimEngine.run_many` call was cancelled via its event.
@@ -148,6 +151,22 @@ def _worker_context():
         return multiprocessing.get_context("fork")
     except ValueError:
         return multiprocessing.get_context()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once the pool's owner is gone.
+
+    A worker waits on a task pipe whose write end it inherited and
+    holds itself, so it never reads EOF: without this watch, every
+    worker of a SIGKILLed ``repro serve`` would idle forever.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_WATCH_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def _execute_chunk(
@@ -313,7 +332,10 @@ class SimEngine:
                 self._close_pool_locked(wait=False)
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_worker_context()
+                    max_workers=workers,
+                    mp_context=_worker_context(),
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
                 )
                 self._pool_workers = workers
                 self._pool_finalizer = weakref.finalize(

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +79,42 @@ class TestPoolWorkerSigkill:
         assert errors == []
         assert [r.to_dict() for r in results] == expected
         assert engine.stats["pool_rebuilds"] >= 1
+
+    def test_workers_exit_when_their_parent_is_sigkilled(self):
+        # A kill -9'd `repro serve` must not leave its pool behind.
+        script = (
+            "import time\n"
+            "from repro.sim import SimEngine, SimulationConfig\n"
+            "engine = SimEngine()\n"
+            "engine.run_many([SimulationConfig(benchmark='gcc', n_instructions=500)],"
+            " isolate=True)\n"
+            "print(*[p.pid for p in engine._pool._processes.values()], flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(faults.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            workers = [int(pid) for pid in owner.stdout.readline().split()]
+        finally:
+            owner.kill()
+            owner.wait()
+        assert workers
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in workers)
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 class TestServerKill9:
